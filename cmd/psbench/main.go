@@ -131,7 +131,7 @@ func main() {
 		{"e14", "§2 — match algorithm comparison (Rete vs TREAT vs naive)", e14},
 		{"e15", "§4.3 — writer latency behind long condition-readers", e15},
 		{"e16", "§4.3 — abort policy ablation (rule (ii) vs re-evaluate)", e16},
-		{"e17", "§2 — indexed match network and sharded delta pipeline", e17},
+		{"e17", "§2 — indexed match network", e17},
 		{"e18", "§4 — hybrid consistency: lock elision, class locks, group commit", e18},
 		{"e19", "§6 — durability tax and group-commit fsync amortization", e19},
 		{"e21", "§2 — cost-based Rete compilation: join planning, beta sharing, adaptive replan", e21},
@@ -771,11 +771,6 @@ func chainRule(depth int) *pdps.Rule {
 // the indexes: the indexed network answers its right/left activations
 // from single-entry buckets while the linear network walks whole
 // memories (rete_scan_candidates_total counts the walked entries).
-// Part (ii) runs the dynamic engine with a sharded matcher and reads
-// the refresh-path counters: with per-shard journaling propagated
-// through the merge, Parallel.refresh must take the journal-drain
-// branch (engine_refresh_delta_total) rather than snapshot
-// reconciliation, at every shard count.
 func e17() {
 	const depth = 4
 	joinRun := func(matcher string, keys int) (time.Duration, pdps.Engine) {
@@ -862,34 +857,4 @@ func e17() {
 			k, idxT.Round(time.Microsecond), linT.Round(time.Microsecond),
 			float64(linT)/float64(idxT))
 	}
-	fmt.Println("  (ii) sharded delta pipeline (Pipeline 64x4, Rc/Ra/Wa, np=4):")
-	fmt.Printf("  %-8s %12s %9s %9s %7s %s\n", "shards", "elapsed", "firings", "snapshot", "delta", "merge-batch")
-	for _, shards := range []int{1, 2, 4} {
-		prog := pdps.Pipeline(64, 4)
-		eng, err := pdps.NewParallelEngine(prog, pdps.SchemeRcRaWa, pdps.Options{Np: 4, MatchShards: shards})
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		res, err := eng.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if err := pdps.CheckTrace(prog, res.Log.Commits()); err != nil {
-			log.Fatalf("shards=%d: INCONSISTENT: %v", shards, err)
-		}
-		snap := eng.Metrics().Snapshot()
-		merge := "-"
-		if h, ok := snap.Histogram("match_shard_merge_batch"); ok && h.Count > 0 {
-			merge = fmt.Sprintf("n=%d mean=%.1f", h.Count, float64(h.Sum)/float64(h.Count))
-		}
-		fmt.Printf("  %-8d %12v %9d %9d %7d %s\n",
-			shards, elapsed.Round(time.Microsecond), res.Firings,
-			snap.Counter("engine_refresh_snapshot_total"),
-			snap.Counter("engine_refresh_delta_total"), merge)
-		dumpMetrics("e17", fmt.Sprintf("shards%d", shards), eng)
-	}
-	fmt.Println("  (journal-drain refreshes dominating at every shard count is the")
-	fmt.Println("   acceptance check: TrackChanges propagates through the merge)")
 }

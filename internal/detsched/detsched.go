@@ -43,9 +43,6 @@ type Config struct {
 	Np int
 	// Matcher is the match algorithm; "" means rete.
 	Matcher string
-	// MatchShards, when above 1, shards the matcher for intra-phase
-	// match parallelism (engine.Options.MatchShards).
-	MatchShards int
 	// AdaptiveRete enables live replanning in the rete matcher
 	// (engine.Options.AdaptiveRete). Replans happen at conflict-set
 	// refreshes from deterministic inputs, so replay reproduces them.
@@ -101,9 +98,6 @@ func (c Config) String() string {
 	m := c.Matcher
 	if m == "" {
 		m = "rete"
-	}
-	if c.MatchShards > 1 {
-		m = fmt.Sprintf("%s×%d", m, c.MatchShards)
 	}
 	s := fmt.Sprintf("scheme=%s np=%d matcher=%s deadlock=%s abort=%s",
 		c.Scheme, c.np(), m, c.Deadlock, c.Abort)
@@ -170,7 +164,6 @@ func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
 	}
 	opts := engine.Options{
 		Matcher:        cfg.Matcher,
-		MatchShards:    cfg.MatchShards,
 		AdaptiveRete:   cfg.AdaptiveRete,
 		Np:             cfg.np(),
 		Deadlock:       cfg.Deadlock,

@@ -79,10 +79,6 @@ type Options struct {
 	// alternative, and recompiles chains that fall behind by the
 	// threshold (DESIGN.md §15). Deterministic under detsched replay.
 	AdaptiveRete bool
-	// MatchShards, when above 1, enables intra-phase match parallelism
-	// (Section 2): rules are partitioned across that many matcher
-	// shards whose updates run concurrently.
-	MatchShards int
 	// Strategy is the conflict-resolution strategy; nil means LEX.
 	Strategy cr.Strategy
 	// MaxFirings bounds the number of commits; 0 means 10000. When the
@@ -222,37 +218,22 @@ type Result struct {
 	Store *wm.Store
 }
 
-// newMatcher builds the selected matcher, optionally sharded for
-// intra-phase match parallelism. adaptive enables live replanning and
-// only applies to "rete"; under sharding every shard's network
-// replans independently (each rule lives in exactly one shard).
-func newMatcher(name string, shards int, adaptive bool) (match.Matcher, error) {
-	factory, err := matcherFactory(name, adaptive)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		return match.NewSharded(shards, factory), nil
-	}
-	return factory(), nil
-}
-
-func matcherFactory(name string, adaptive bool) (func() match.Matcher, error) {
+// newMatcher builds the selected matcher. adaptive enables live
+// replanning and only applies to "rete".
+func newMatcher(name string, adaptive bool) (match.Matcher, error) {
 	switch name {
 	case "rete":
-		return func() match.Matcher {
-			n := rete.New()
-			n.SetAdaptive(adaptive)
-			return n
-		}, nil
+		n := rete.New()
+		n.SetAdaptive(adaptive)
+		return n, nil
 	case "rete-src":
-		return func() match.Matcher { return rete.NewSourceOrder() }, nil
+		return rete.NewSourceOrder(), nil
 	case "rete-linear":
-		return func() match.Matcher { return rete.NewLinear() }, nil
+		return rete.NewLinear(), nil
 	case "treat":
-		return func() match.Matcher { return treat.New() }, nil
+		return treat.New(), nil
 	case "naive":
-		return func() match.Matcher { return match.NewNaive() }, nil
+		return match.NewNaive(), nil
 	}
 	return nil, fmt.Errorf("engine: unknown matcher %q", name)
 }
@@ -262,13 +243,13 @@ func matcherFactory(name string, adaptive bool) (func() match.Matcher, error) {
 // metrics registry before the first insert, so even the initial load
 // is observable.
 func load(p Program, o Options) (*wm.Store, match.Matcher, error) {
-	inner, err := newMatcher(o.Matcher, o.MatchShards, o.AdaptiveRete)
+	inner, err := newMatcher(o.Matcher, o.AdaptiveRete)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Matchers with internal instrumentation (Rete's index probe/scan
-	// counters, the sharded merge histogram) wire into the shared
-	// registry; match.Instrument below adds the generic op timings.
+	// and alpha counters) wire into the shared registry;
+	// match.Instrument below adds the generic op timings.
 	if sm, ok := inner.(interface{ SetMetrics(*obs.Registry) }); ok {
 		sm.SetMetrics(o.Metrics)
 	}

@@ -519,47 +519,6 @@ func TestCheckTraceRejectsInvalidSequence(t *testing.T) {
 	}
 }
 
-// TestMatchShardsEquivalence: intra-phase match parallelism must not
-// change behaviour — same firings, same final working memory.
-func TestMatchShardsEquivalence(t *testing.T) {
-	for _, matcher := range []string{"naive", "rete"} {
-		p := pipelineProgram(6, 3)
-		e, err := NewSingle(p, Options{Matcher: matcher, MatchShards: 4, Verify: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", matcher, err)
-		}
-		if res.Firings != 18 {
-			t.Fatalf("%s: firings = %d, want 18", matcher, res.Firings)
-		}
-		if e.Store().Len() != 0 {
-			t.Fatalf("%s: WM not drained", matcher)
-		}
-		if err := CheckTrace(p, res.Log.Commits()); err != nil {
-			t.Fatalf("%s: %v", matcher, err)
-		}
-	}
-	// And on the dynamic parallel engine.
-	p := tallyProgram(3, 3)
-	e, err := NewParallel(p, lock.SchemeRcRaWa, Options{MatchShards: 3, Np: 4, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Firings != 9 {
-		t.Fatalf("parallel sharded: firings = %d, want 9", res.Firings)
-	}
-	if err := CheckTrace(p, res.Log.Commits()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEngineOptionErrors(t *testing.T) {
 	if _, err := NewSingle(counterProgram(1), Options{Matcher: "nope"}); err == nil {
 		t.Fatal("unknown matcher must error")

@@ -104,19 +104,11 @@ func (s *Session) LoadSnapshot(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	inner, err := newMatcher(s.rt.opts.Matcher, s.rt.opts.MatchShards, s.rt.opts.AdaptiveRete)
+	o := s.rt.opts
+	o.Restore = store
+	store, m, err := load(Program{Rules: s.rules}, o)
 	if err != nil {
 		return err
-	}
-	for _, rule := range s.rules {
-		if err := inner.AddRule(rule); err != nil {
-			return err
-		}
-	}
-	m := match.Instrument(inner, s.rt.opts.Metrics, s.rt.opts.Clock)
-	store.SetMetrics(s.rt.opts.Metrics)
-	for _, w := range store.All() {
-		m.Insert(w)
 	}
 	s.rt.store = store
 	s.rt.matcher = m

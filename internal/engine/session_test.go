@@ -88,3 +88,36 @@ func TestSessionLoadSnapshot(t *testing.T) {
 		t.Fatalf("re-run fired %d (%v), want 5", n, err)
 	}
 }
+
+// TestSessionLoadSnapshotKeepsMatcherMetrics checks that the matcher
+// rebuilt by LoadSnapshot stays wired into the session's registry: the
+// Rete network's own counters must keep advancing with the firings
+// after the load, like the engine counters do.
+func TestSessionLoadSnapshotKeepsMatcherMetrics(t *testing.T) {
+	s, err := NewSession(counterProgram(5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := s.Store().WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reg := s.Metrics()
+	commits := reg.Counter("engine_commits_total").Value()
+	alpha := reg.Counter("rete_alpha_tests_evaluated_total").Value()
+	if n, err := s.Run(100); err != nil || n != 5 {
+		t.Fatalf("re-run fired %d (%v), want 5", n, err)
+	}
+	if got := reg.Counter("engine_commits_total").Value(); got != commits+5 {
+		t.Fatalf("engine_commits_total = %d, want %d", got, commits+5)
+	}
+	if got := reg.Counter("rete_alpha_tests_evaluated_total").Value(); got <= alpha {
+		t.Fatalf("rete_alpha_tests_evaluated_total stayed at %d across a post-load run", got)
+	}
+}

@@ -132,8 +132,7 @@ func newAggressiveAdaptive() *Network {
 
 // constructors are the network variants every oracle test must agree
 // on: hashed planned memories (the default), source-order compilation,
-// the unindexed linear fallback, and aggressive adaptive replanning —
-// bare and behind the multi-shard wrapper.
+// the unindexed linear fallback, and aggressive adaptive replanning.
 var constructors = []struct {
 	name  string
 	build func() match.Matcher
@@ -142,16 +141,10 @@ var constructors = []struct {
 	{"source-order", func() match.Matcher { return NewSourceOrder() }},
 	{"linear", func() match.Matcher { return NewLinear() }},
 	{"adaptive", func() match.Matcher { return newAggressiveAdaptive() }},
-	{"sharded-planned", func() match.Matcher {
-		return match.NewSharded(3, func() match.Matcher { return New() })
-	}},
-	{"sharded-adaptive", func() match.Matcher {
-		return match.NewSharded(3, func() match.Matcher { return newAggressiveAdaptive() })
-	}},
 }
 
-// TestReteMatchesNaiveOracle drives each Rete variant (indexed,
-// linear, and indexed behind a multi-shard wrapper) and the naive
+// TestReteMatchesNaiveOracle drives each Rete variant (planned,
+// source-order, linear and adaptive) and the naive
 // matcher with identical random rule sets and random insert/remove
 // streams and requires identical conflict sets after every step.
 func TestReteMatchesNaiveOracle(t *testing.T) {

@@ -12,18 +12,17 @@ import (
 // compilation (cost.go): the per-rule chain records, the shared
 // beta-level cache, chain teardown, and adaptive replanning.
 //
-// Replan safe-point protocol: a Network is single-threaded (the engine
-// serialises matcher calls; ShardedMatcher confines each shard to one
-// goroutine per phase), so the only safe point needed is "not inside a
-// propagation". maybeReplan runs at the top of ConflictSet() — between
+// Replan safe-point protocol: a Network is single-threaded (each
+// engine builds exactly one matcher and serialises calls into it), so
+// the only safe point needed is "not inside a propagation". maybeReplan runs at the top of ConflictSet() — between
 // conflict-set refreshes from the engine's point of view. A replan
 // tears the rule's exclusive suffix down through the ordinary
 // token-deletion paths (removing the rule's instantiations) and
 // recompiles the chain against live memories, which re-derives exactly
 // the same instantiation keys: consumers that journal conflict-set
 // changes see a remove+add pair per live instantiation and resolve it
-// as a no-op via ConflictSet.Contains (see Parallel.refresh and
-// ShardedMatcher.mergeShard).
+// as a no-op via ConflictSet.Contains (see Parallel.refresh, and
+// TestAdaptiveReplanJournalNetZero for the journal contract).
 
 // betaLevel is one shared-able level of a compiled chain: a join node
 // feeding a beta memory, or a negative node. Levels are cached by the

@@ -184,6 +184,124 @@ func TestAdaptiveReplanEquivalence(t *testing.T) {
 	assertDrained(t, n)
 }
 
+// TestAdaptiveReplanJournalNetZero pins the journal contract between
+// adaptive chain swaps and a change-tracking consumer such as
+// Parallel.refresh: a swap journals a remove+add pair for every live
+// instantiation of the replanned rule, and resolving the journal
+// against current membership (ConflictSet.Contains) must yield no net
+// change. One aggressively adaptive network with tracking on is driven
+// against the naive matcher; after every insert and remove the
+// conflict sets must agree and a mirror maintained only from the
+// drained journal must equal the naive set.
+func TestAdaptiveReplanJournalNetZero(t *testing.T) {
+	n := New()
+	n.SetAdaptive(true)
+	n.SetAdaptiveParams(1.01, 1)
+	naive := match.NewNaive()
+	// Three rules, each joining two classes on k. The rounds below grow
+	// the classes in turn, so the cheaper join order keeps flipping
+	// while instantiations are live and every replan swaps a chain that
+	// has instantiations to journal.
+	for i := 0; i < 3; i++ {
+		r := &match.Rule{
+			Name: fmt.Sprintf("r%d", i),
+			Conditions: []match.Condition{
+				{Class: fmt.Sprintf("a%d", i), Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
+				{Class: fmt.Sprintf("b%d", i), Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
+			},
+			Actions: []match.Action{{Kind: match.ActHalt}},
+		}
+		for _, m := range []match.Matcher{n, naive} {
+			if err := m.AddRule(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n.TrackChanges(true)
+
+	mirror := map[string]bool{}
+	pairs := 0
+	step := func(stage string) {
+		t.Helper()
+		got, want := n.ConflictSet(), naive.ConflictSet()
+		if g, w := csKeys(got), csKeys(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: rete=%v naive=%v", stage, g, w)
+		}
+		added, removed := got.TakeChanges()
+		addedKeys := map[string]bool{}
+		for _, in := range added {
+			addedKeys[in.Key()] = true
+		}
+		for _, k := range removed {
+			if !got.Contains(k) {
+				delete(mirror, k)
+				continue
+			}
+			// A removal of a still-live key is half of a swap pair, so
+			// the add half must be journaled too.
+			if !addedKeys[k] {
+				t.Fatalf("%s: journal removed live key %s without a matching re-add", stage, k)
+			}
+			pairs++
+		}
+		for k := range addedKeys {
+			if got.Contains(k) {
+				mirror[k] = true
+			}
+		}
+		if len(mirror) != want.Len() {
+			t.Fatalf("%s: journal mirror has %d keys, naive set %d", stage, len(mirror), want.Len())
+		}
+		for _, in := range want.All() {
+			if !mirror[in.Key()] {
+				t.Fatalf("%s: journal mirror missing %v", stage, in)
+			}
+		}
+	}
+
+	s := wm.NewStore()
+	var ws []*wm.WME
+	add := func(class string, k int) {
+		w := s.Insert(class, map[string]wm.Value{"k": wm.Int(int64(k))})
+		ws = append(ws, w)
+		n.Insert(w)
+		naive.Insert(w)
+		step(fmt.Sprintf("insert %v", w))
+	}
+	remove := func(w *wm.WME) {
+		n.Remove(w)
+		naive.Remove(w)
+		step(fmt.Sprintf("remove %v", w))
+	}
+	for round := 0; round < 4; round++ {
+		class := "a"
+		if round%2 == 1 {
+			class = "b"
+		}
+		for i := 0; i < 3; i++ {
+			for k := 0; k < 16*(round+1); k++ {
+				add(fmt.Sprintf("%s%d", class, i), k)
+			}
+		}
+		// Retract some of the oldest WMEs through whatever plans are live.
+		cut := len(ws) / 4
+		for _, w := range ws[:cut] {
+			remove(w)
+		}
+		ws = append([]*wm.WME(nil), ws[cut:]...)
+	}
+	if n.Replans() == 0 || pairs == 0 {
+		t.Fatalf("replans=%d swap pairs=%d; the journal contract went unexercised", n.Replans(), pairs)
+	}
+	for _, w := range ws {
+		remove(w)
+	}
+	if len(mirror) != 0 {
+		t.Fatalf("drained: %d instantiations remain in the journal mirror", len(mirror))
+	}
+	assertDrained(t, n)
+}
+
 // TestReplanNoLeakUnderSharing is the leak regression for chain
 // teardown with shared prefixes: two rules share a reordered prefix,
 // aggressive replanning swaps chains mid-churn, and a full retraction

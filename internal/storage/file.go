@@ -237,7 +237,7 @@ func (s *File) newSegLocked() error {
 		f.Close()
 		return fmt.Errorf("storage: new segment: %w", err)
 	}
-	if err := wm.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: new segment: %w", err)
 	}
@@ -399,7 +399,7 @@ func (s *File) writeSnapshot(st *wm.Store, seq, lsn uint64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	if err := wm.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
 	// The new snapshot is durable; everything it covers can go. A
@@ -420,7 +420,7 @@ func (s *File) writeSnapshot(st *wm.Store, seq, lsn uint64) error {
 			os.Remove(filepath.Join(s.dir, en))
 		}
 	}
-	return wm.SyncDir(s.dir)
+	return syncDir(s.dir)
 }
 
 // Checkpoint folds the store into a snapshot synchronously.
@@ -585,6 +585,21 @@ func syncFile(path string) error {
 	}
 	defer f.Close()
 	return f.Sync()
+}
+
+// syncDir fsyncs a directory so renames and file creations within it
+// are durable. On filesystems that refuse fsync on directories the
+// error is ignored (there is nothing more the caller can do).
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := f.Sync(); err != nil && !os.IsPermission(err) {
+		return err
+	}
+	return nil
 }
 
 // --- little-codec helpers (byte-slice variants of wm's) ---

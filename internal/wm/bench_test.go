@@ -60,27 +60,6 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(1000, "wmes")
 }
 
-func BenchmarkWALAppend(b *testing.B) {
-	s := NewStore()
-	var buf bytes.Buffer
-	wal, err := NewWAL(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := s.Insert("part", attrs("id", 1, "status", "ready"))
-	d := &Delta{Adds: []*WME{w}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := wal.Append(d); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<24 {
-			buf.Reset()
-			buf.WriteString(walMagic)
-		}
-	}
-}
-
 // BenchmarkIndexLookupVsScan contrasts the secondary index against a
 // predicate scan on a 10k-tuple class.
 func BenchmarkIndexLookupVsScan(b *testing.B) {

@@ -7,20 +7,17 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 )
 
 // Persistence gives working memory the "knowledge persistence" the
-// paper's introduction motivates: point-in-time snapshots plus a
-// write-ahead log of commit deltas. A store is recovered by loading
-// the latest snapshot and replaying the log; every record carries a
-// CRC so torn tails are detected and recovery stops cleanly at the
-// last complete record.
+// paper's introduction motivates: point-in-time snapshots, the codec
+// for commit deltas, and the CRC-framed record stream that carries
+// them. internal/storage builds its segment logs from these pieces; a
+// store is recovered by loading the latest snapshot and re-applying
+// the logged deltas with ApplyLogged, and the frame scanner detects
+// torn tails so recovery stops cleanly at the last complete record.
 
-const (
-	snapshotMagic = "PDPSSNP1"
-	walMagic      = "PDPSWAL1"
-)
+const snapshotMagic = "PDPSSNP1"
 
 // WriteSnapshot serialises the store's current contents, including the
 // ID and recency counters, so recovery continues the same sequences.
@@ -74,39 +71,6 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		s.add(w)
 	}
 	return s, nil
-}
-
-// WAL is an append-only write-ahead log of commit deltas. Append is
-// safe for concurrent use (engines call it from worker goroutines).
-type WAL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte // body scratch
-	out []byte // framed-record scratch (one Write per record)
-	n   int    // records appended
-}
-
-// NewWAL starts a log on the writer, emitting the header.
-func NewWAL(w io.Writer) (*WAL, error) {
-	if _, err := io.WriteString(w, walMagic); err != nil {
-		return nil, err
-	}
-	return &WAL{w: w}, nil
-}
-
-// Append writes one delta record: removes as (id, timetag) pairs and
-// adds as full WMEs, framed with a length and CRC32.
-func (l *WAL) Append(d *Delta) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	body := EncodeDelta(l.buf[:0], d)
-	l.out = AppendFrame(l.out[:0], body)
-	l.buf = body[:0]
-	if _, err := l.w.Write(l.out); err != nil {
-		return err
-	}
-	l.n++
-	return nil
 }
 
 // EncodeDelta appends the log encoding of a commit delta to b: removes
@@ -206,50 +170,6 @@ func (s *Store) ApplyLogged(d *Delta) error {
 	return nil
 }
 
-// Records returns how many records have been appended.
-func (l *WAL) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// ReplayWAL applies the log's deltas to the store in order and returns
-// the number of complete records applied. Recovery distinguishes a
-// torn tail (the bytes a crash mid-append leaves behind: a truncated
-// frame or body, or a zero-filled/checksum-failed final record with
-// nothing but zero bytes after it) from mid-log corruption: the tail
-// is dropped silently — standard recovery semantics — while
-// corruption followed by further data is reported as an error. Each
-// record is fully decoded before it is applied, so a torn tail never
-// leaves the store partially updated.
-func ReplayWAL(r io.Reader, s *Store) (int, error) {
-	fs, err := NewFrameScanner(r, walMagic)
-	if err != nil {
-		return 0, fmt.Errorf("wm: wal header: %w", err)
-	}
-	applied := 0
-	for {
-		body, err := fs.Next()
-		if err == io.EOF {
-			return applied, nil
-		}
-		if err != nil {
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, err)
-		}
-		d, derr := DecodeDelta(body)
-		if derr != nil {
-			if rerr := fs.Reject(derr); rerr == io.EOF {
-				return applied, nil // undecodable torn tail
-			}
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, derr)
-		}
-		if aerr := s.ApplyLogged(d); aerr != nil {
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, aerr)
-		}
-		applied++
-	}
-}
-
 // --- framed record streams ---
 
 // maxRecordBytes bounds a single framed record; larger length fields
@@ -258,8 +178,7 @@ const maxRecordBytes = 1 << 30
 
 // AppendFrame appends one framed record to dst: an 8-byte big-endian
 // body length, a CRC32 (IEEE) of the body, then the body itself. This
-// is the frame layout shared by the WAL and the storage backends'
-// segment files.
+// is the frame layout of the storage backends' segment files.
 func AppendFrame(dst, body []byte) []byte {
 	var frame [12]byte
 	binary.BigEndian.PutUint64(frame[:8], uint64(len(body)))
@@ -506,7 +425,7 @@ func (r *byteReader) wme() (*WME, error) {
 
 // readWME decodes one WME from a stream (snapshot format).
 func readWME(br *bufio.Reader) (*WME, error) {
-	// Snapshot WMEs use the same layout as WAL adds; decode by
+	// Snapshot WMEs use the same layout as logged delta adds; decode by
 	// buffering the variable-size pieces through the stream reader.
 	id, err := readU64(br)
 	if err != nil {

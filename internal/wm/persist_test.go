@@ -66,20 +66,18 @@ func TestSnapshotBadInput(t *testing.T) {
 	}
 }
 
-func TestWALRecoveryReproducesStore(t *testing.T) {
-	// Run a sequence of transactions against a live store while
-	// logging, then recover from snapshot+log and compare.
+// TestDeltaRoundTripReproducesStore runs transactions against a live
+// store, encodes each commit delta, and recovers a second store from
+// the starting snapshot by decoding and re-applying every delta: the
+// result must equal the live store, time tags and counters included.
+func TestDeltaRoundTripReproducesStore(t *testing.T) {
 	live := NewStore()
 	live.Insert("counter", attrs("n", 0))
 	var snap bytes.Buffer
 	if err := live.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var bodies [][]byte
 	for i := 0; i < 10; i++ {
 		tx := live.Begin()
 		c := tx.ByClass("counter")[0]
@@ -97,24 +95,21 @@ func TestWALRecoveryReproducesStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if wal.Records() != 10 {
-		t.Fatalf("records = %d", wal.Records())
+		bodies = append(bodies, EncodeDelta(nil, d))
 	}
 
 	recovered, err := ReadSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, err := ReplayWAL(bytes.NewReader(logBuf.Bytes()), recovered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 10 {
-		t.Fatalf("applied = %d, want 10", applied)
+	for i, body := range bodies {
+		d, err := DecodeDelta(body)
+		if err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+		if err := recovered.ApplyLogged(d); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
 	}
 	if recovered.Len() != live.Len() {
 		t.Fatalf("recovered Len = %d, want %d", recovered.Len(), live.Len())
@@ -130,91 +125,35 @@ func TestWALRecoveryReproducesStore(t *testing.T) {
 	if _, clash := live.Get(n.ID); clash {
 		t.Fatal("recovered store reused an ID")
 	}
-}
-
-func TestWALTornTailStopsCleanly(t *testing.T) {
-	base := NewStore()
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewStore()
-	for i := 0; i < 3; i++ {
-		tx := live.Begin()
-		tx.Insert("a", attrs("v", i))
-		d, err := tx.Commit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wal.Append(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Tear the last record.
-	torn := logBuf.Bytes()[:logBuf.Len()-5]
-	applied, err := ReplayWAL(bytes.NewReader(torn), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 2 {
-		t.Fatalf("applied = %d, want 2 (torn tail dropped)", applied)
-	}
-	if base.Len() != 2 {
-		t.Fatalf("store has %d WMEs, want 2", base.Len())
+	// Trailing bytes after a delta body are rejected.
+	if _, err := DecodeDelta(append(bodies[0], 0)); err == nil {
+		t.Fatal("delta with trailing bytes must error")
 	}
 }
 
-func TestWALCorruptRecordDetected(t *testing.T) {
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewStore()
-	tx := live.Begin()
-	tx.Insert("a", attrs("v", 1))
-	d, _ := tx.Commit()
-	if err := wal.Append(d); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := live.Begin()
-	tx2.Insert("a", attrs("v", 2))
-	d2, _ := tx2.Commit()
-	if err := wal.Append(d2); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the first record's body (after header+frame).
-	raw := logBuf.Bytes()
-	raw[len(walMagic)+12+4] ^= 0xff
-	s := NewStore()
-	if _, err := ReplayWAL(bytes.NewReader(raw), s); err == nil {
-		t.Fatal("mid-log corruption must be reported")
-	}
-	if _, err := ReplayWAL(strings.NewReader("XXXXXXXX"), s); err == nil {
-		t.Fatal("bad wal magic must error")
-	}
-}
-
-func TestWALRemoveOfAbsentFails(t *testing.T) {
+// TestApplyLoggedRemoveOfAbsentFails checks that a logged delta applied
+// against the wrong base store errors: a remove with no target, or an
+// add whose ID is already present, is mid-log corruption.
+func TestApplyLoggedRemoveOfAbsentFails(t *testing.T) {
 	live := NewStore()
 	w := live.Insert("a", attrs("v", 1))
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tx := live.Begin()
 	if err := tx.Remove(w.ID); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := tx.Commit()
-	if err := wal.Append(d); err != nil {
+	rm, err := tx.Commit()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Replaying against an empty store: the remove has no target.
-	empty := NewStore()
-	if _, err := ReplayWAL(bytes.NewReader(logBuf.Bytes()), empty); err == nil {
-		t.Fatal("replay against wrong base must error")
+	if err := NewStore().ApplyLogged(rm); err == nil {
+		t.Fatal("remove of an absent WME must error")
+	}
+	add := &Delta{Adds: []*WME{w}}
+	dup := NewStore()
+	if err := dup.ApplyLogged(add); err != nil {
+		t.Fatal(err)
+	}
+	if err := dup.ApplyLogged(add); err == nil {
+		t.Fatal("add of a duplicate WME must error")
 	}
 }
