@@ -103,7 +103,7 @@ func (sh *shell) exec(out *os.File, line string) error {
   assert (class ^a v ...)   add a tuple
   retract <id>       remove a tuple by ID
   step               fire one production (LEX selection)
-  run [n]            fire up to n productions (default 1000)
+  run [n]            fire up to n productions (default 1000; stops at a halt)
   metrics [json]     dump the session's metrics (text, or JSON snapshot)
   save <file>        write a working-memory snapshot
   load <file>        replace working memory from a snapshot
@@ -146,12 +146,14 @@ func (sh *shell) exec(out *os.File, line string) error {
 		}
 		return sh.session.Retract(id)
 	case "step":
-		fired, err := sh.session.Step()
+		fired, halted, err := sh.session.Step()
 		if err != nil {
 			return err
 		}
 		if fired == "" {
 			fmt.Fprintln(out, "quiescent: nothing to fire")
+		} else if halted {
+			fmt.Fprintf(out, "fired %s (halted)\n", fired)
 		} else {
 			fmt.Fprintf(out, "fired %s\n", fired)
 		}
@@ -164,11 +166,14 @@ func (sh *shell) exec(out *os.File, line string) error {
 			}
 			n = v
 		}
-		fired, err := sh.session.Run(n)
+		fired, halted, err := sh.session.Run(n)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "fired %d productions\n", fired)
+		if halted {
+			fmt.Fprintln(out, "stopped at a halt")
+		}
 	case "metrics":
 		snap := sh.session.Metrics().Snapshot()
 		if rest == "json" {

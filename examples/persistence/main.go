@@ -141,7 +141,7 @@ func main() {
 	if err := sess.LoadSnapshot(serialize(rec.Store)); err != nil {
 		log.Fatal(err)
 	}
-	fired, err := sess.Run(100)
+	fired, _, err := sess.Run(100)
 	if err != nil {
 		log.Fatal(err)
 	}

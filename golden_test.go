@@ -94,3 +94,83 @@ func TestGoldenTraces(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionMatchesSingle pins one serial semantics: an interactive
+// Session run to completion must give the same commit sequence, halt
+// flag and final working memory as the single-thread engine, on every
+// golden program and on one that halts mid-run.
+func TestSessionMatchesSingle(t *testing.T) {
+	type serialCase struct {
+		name, src, strategy string
+		halts               bool
+	}
+	var cases []serialCase
+	for _, tc := range goldenCases() {
+		src, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, serialCase{name: tc.file, src: string(src), strategy: tc.strategy})
+	}
+	cases = append(cases, serialCase{name: "halt", src: `
+(p stop (c ^n 2) --> (remove 1) (halt))
+(p tick (c ^n <n>) --> (remove 1))
+(wme c ^n 0) (wme c ^n 1) (wme c ^n 2) (wme c ^n 3) (wme c ^n 4)`, halts: true})
+
+	options := func(t *testing.T, strategy string) pdps.Options {
+		opts := pdps.Options{Verify: true}
+		if strategy != "" {
+			s, err := pdps.NewStrategy(strategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Strategy = s
+		}
+		return opts
+	}
+	render := func(log *pdps.TraceLog, store *pdps.Store) string {
+		var b strings.Builder
+		for _, ev := range log.Commits() {
+			fmt.Fprintf(&b, "%s %s | %s\n", ev.Rule, ev.Inst, strings.Join(ev.WMEs, ", "))
+		}
+		b.WriteString("--- store ---\n")
+		for _, w := range store.All() {
+			fmt.Fprintf(&b, "#%d %s\n", w.ID, w)
+		}
+		return b.String()
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := pdps.Parse(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := pdps.NewSingleEngine(prog, options(t, tc.strategy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Halted != tc.halts {
+				t.Fatalf("single halted = %v, want %v", res.Halted, tc.halts)
+			}
+			sess, err := pdps.NewSession(prog, options(t, tc.strategy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired, halted, err := sess.Run(1 << 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fired != res.Firings || halted != res.Halted {
+				t.Fatalf("session fired %d (halted %v), single fired %d (halted %v)",
+					fired, halted, res.Firings, res.Halted)
+			}
+			if got, want := render(sess.Log(), sess.Store()), render(res.Log, eng.Store()); got != want {
+				t.Fatalf("session diverged from single\n--- session ---\n%s--- single ---\n%s", got, want)
+			}
+		})
+	}
+}

@@ -15,10 +15,10 @@ import (
 // incremental re-match, and trace events. Engines differ only in how
 // they schedule firings around it.
 //
-// runtime methods are not concurrency-safe. Serial engines call them
-// from their run loop; the dynamic engine calls them from its single
-// committer goroutine, which is the point of the design — the matcher
-// and conflict set have exactly one writer.
+// runtime methods are not concurrency-safe. Single and Session drive
+// them through step, Static from its run loop, and the dynamic engine
+// from its single committer goroutine, which is the point of the
+// design — the matcher and conflict set have exactly one writer.
 type runtime struct {
 	opts    Options
 	store   *wm.Store
@@ -134,6 +134,39 @@ func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt b
 		rt.opts.Log.Append(trace.Event{Kind: trace.KindHalt, Rule: in.Rule.Name, Inst: key, Txn: txn})
 	}
 	return nil
+}
+
+// step is the one serial recognize-act firing: select, RuleDelay,
+// execute, commit, and sync (each serial commit is its own fsync
+// group). It returns the fired instantiation (nil when quiescent or on
+// error) and whether this firing halted. It logs no KindFire: the
+// commit, or an error that ends the run, follows at once. With Verify,
+// an execute failure on an instantiation that no longer matches (a
+// stale conflict set) is reported as ErrInconsistent, since commit's
+// own check never runs then.
+func (rt *runtime) step() (*match.Instantiation, bool, error) {
+	cands := rt.candidates()
+	if len(cands) == 0 {
+		return nil, false, nil
+	}
+	rt.met.cycleInc()
+	in := rt.opts.Strategy.Select(cands)
+	if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
+		rt.opts.Clock.Sleep(d)
+	}
+	tx := rt.store.Begin()
+	halt, err := match.ExecuteActions(in, tx)
+	if err == nil {
+		err = rt.commit(in, tx, 0, halt)
+	} else if rt.opts.Verify && !verifyActive(rt.store, in) {
+		err = fmt.Errorf("%w: %s executed while inactive: %v", ErrInconsistent, in.Key(), err)
+	}
+	if err != nil {
+		tx.Abort()
+		return nil, false, err
+	}
+	rt.syncStorage()
+	return in, halt, rt.err
 }
 
 // syncStorage makes every staged record durable (one fsync covering

@@ -57,41 +57,28 @@ func (s *Session) Retract(id int64) error {
 	return nil
 }
 
-// Step fires one production (selected by the session's strategy) and
-// returns its rule name, or "" if the system is quiescent.
-func (s *Session) Step() (string, error) {
-	cands := s.rt.candidates()
-	if len(cands) == 0 {
-		return "", nil
+// Step fires one production and returns its rule name ("" if the
+// system is quiescent) and whether that firing halted. A halt ends the
+// current run, not the session: a later Step still fires.
+func (s *Session) Step() (rule string, halted bool, err error) {
+	in, halted, err := s.rt.step()
+	if in == nil {
+		return "", false, err
 	}
-	in := s.rt.opts.Strategy.Select(cands)
-	tx := s.rt.store.Begin()
-	halt, err := match.ExecuteActions(in, tx)
-	if err != nil {
-		tx.Abort()
-		return "", err
-	}
-	if err := s.rt.commit(in, tx, 0, halt); err != nil {
-		return "", err
-	}
-	s.rt.syncStorage()
-	return in.Rule.Name, s.rt.err
+	return in.Rule.Name, halted, err
 }
 
-// Run fires up to max productions and returns how many fired.
-func (s *Session) Run(max int) (int, error) {
-	n := 0
-	for n < max {
-		name, err := s.Step()
-		if err != nil {
-			return n, err
+// Run fires up to max productions, stopping early at quiescence or
+// after a firing that halts, and returns how many fired and whether
+// the run stopped at a halt.
+func (s *Session) Run(max int) (fired int, halted bool, err error) {
+	for ; fired < max && !halted; fired++ {
+		var rule string
+		if rule, halted, err = s.Step(); err != nil || rule == "" {
+			return fired, false, err
 		}
-		if name == "" {
-			return n, nil
-		}
-		n++
 	}
-	return n, nil
+	return fired, halted, nil
 }
 
 // Log returns the session's trace log.

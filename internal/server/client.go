@@ -249,7 +249,7 @@ func (c *Client) Run(session string, max int) (RunResult, error) {
 }
 
 // Trace drains the session's trace events not yet streamed to any
-// request (run pushes advance the same cursor).
+// request (run pushes drain the same log).
 func (c *Client) Trace(session string) ([]TraceEvent, error) {
 	resp, err := c.do(&Request{Type: ReqTrace, Session: session})
 	if err != nil {

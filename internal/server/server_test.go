@@ -293,13 +293,13 @@ func TestHaltStreams(t *testing.T) {
 	if !res.Halted || res.Fired != 1 {
 		t.Fatalf("run = %+v, want halted after 1 firing", res)
 	}
-	sawHalt := false
+	haltStreamed := false
 	for _, e := range res.Events {
 		if e.Kind == "halt" {
-			sawHalt = true
+			haltStreamed = true
 		}
 	}
-	if !sawHalt {
+	if !haltStreamed {
 		t.Fatal("halt event not streamed")
 	}
 }
@@ -315,4 +315,54 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestLongSessionTraceStaysBounded streams many small batches through
+// one session and checks that the session's log buffers nothing once a
+// run reply is out, while the streamed sequence numbers stay
+// contiguous across runs.
+func TestLongSessionTraceStaysBounded(t *testing.T) {
+	const events, batch = 20000, 8
+	srv := startServer(t, Config{})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id, _, _, err := c.Create(tenantProgram("b"), SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessLog := srv.lookup(id).eng.Log()
+	next := 0
+	tuples := make([]string, 0, batch)
+	for seq := 0; seq < events; seq += batch {
+		tuples = tuples[:0]
+		for k := seq; k < seq+batch; k++ {
+			tuples = append(tuples, eventTuple("b", k))
+		}
+		if _, err := c.Assert(id, tuples...); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Quiescent || res.Fired != 2*batch {
+			t.Fatalf("batch at %d: run = fired %d quiescent %v, want %d quiescent",
+				seq, res.Fired, res.Quiescent, 2*batch)
+		}
+		if n := sessLog.Len(); n != 0 {
+			t.Fatalf("batch at %d: session log buffers %d events after the run reply", seq, n)
+		}
+		for _, e := range res.Events {
+			if e.Seq != next {
+				t.Fatalf("batch at %d: streamed Seq %d, want %d", seq, e.Seq, next)
+			}
+			next++
+		}
+	}
+	if want := 2 * events; next != want {
+		t.Fatalf("streamed %d events, want %d", next, want)
+	}
 }

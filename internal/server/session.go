@@ -7,7 +7,6 @@ import (
 	"pdps/internal/engine"
 	"pdps/internal/lang"
 	"pdps/internal/storage"
-	"pdps/internal/trace"
 	"pdps/internal/wm"
 )
 
@@ -56,8 +55,6 @@ type session struct {
 	closed bool
 
 	once sync.Once
-
-	traceSeq int // log events already streamed (actor-only)
 }
 
 // begin registers an in-flight submit attempt; it fails once teardown
@@ -229,9 +226,8 @@ func (s *session) logDurable(d *wm.Delta) error {
 }
 
 // handleRun steps the recognize-act cycle up to Max firings (0 means
-// the session's MaxFirings bound), streaming trace batches to the
-// requesting connection every runFlushEvery commits and finishing with
-// the run summary. A teardown mid-run aborts between steps; the
+// 10000), streaming trace batches to the requesting connection every
+// runFlushEvery commits and finishing with the run summary. A teardown mid-run aborts between steps; the
 // firings already committed stay committed (and, durably, synced).
 func (s *session) handleRun(t task) {
 	max := t.req.Max
@@ -246,7 +242,7 @@ func (s *session) handleRun(t task) {
 			t.c.sendErr(t.req, CodeClosed, "session "+s.id+" closed mid-run")
 			return
 		}
-		name, err := s.eng.Step()
+		name, halt, err := s.eng.Step()
 		if err != nil {
 			s.flushTrace(t, true, false)
 			t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("step: %v", err))
@@ -257,7 +253,7 @@ func (s *session) handleRun(t task) {
 			break
 		}
 		fired++
-		if s.sawHalt() {
+		if halt {
 			halted = true
 			break
 		}
@@ -270,23 +266,12 @@ func (s *session) handleRun(t task) {
 		Fired: fired, Halted: halted, Quiescent: quiescent})
 }
 
-// sawHalt reports whether an un-streamed halt event is in the log.
-func (s *session) sawHalt() bool {
-	for _, e := range s.eng.Log().Events()[s.traceSeq:] {
-		if e.Kind == trace.KindHalt {
-			return true
-		}
-	}
-	return false
-}
-
-// flushTrace streams the log events appended since the last flush.
+// flushTrace drains the log events appended since the last flush and
+// streams them, so the session's log holds only un-streamed events.
 // Mid-run pushes set More and skip empty batches; a terminal flush
 // (explicit trace request) always answers, even with zero events.
 func (s *session) flushTrace(t task, more, always bool) {
-	events := s.eng.Log().Events()
-	fresh := events[s.traceSeq:]
-	s.traceSeq = len(events)
+	fresh := s.eng.Log().Drain()
 	if len(fresh) == 0 && !always {
 		return
 	}

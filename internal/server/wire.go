@@ -196,8 +196,6 @@ type SessionOptions struct {
 	// Strategy selects conflict resolution: "lex" (default), "mea",
 	// "fifo" or "priority".
 	Strategy string `json:"strategy,omitempty"`
-	// MaxFirings bounds a single run command; 0 means 10000.
-	MaxFirings int `json:"max_firings,omitempty"`
 	// StorageDir, when non-empty, opens a durable file backend under
 	// the server's storage root: ingested events and committed firings
 	// are group-commit logged, and re-creating a session on the same

@@ -16,7 +16,8 @@ type Kind uint8
 
 // Event kinds.
 const (
-	// KindFire records the start of a production's execution.
+	// KindFire records the dispatch of a production's execution; only
+	// the parallel and static engines log it, serial ones commit at once.
 	KindFire Kind = iota
 	// KindCommit records a successful commit (WM atomically updated).
 	KindCommit
@@ -78,9 +79,12 @@ func (e Event) String() string {
 	return s
 }
 
-// Log is an append-only, concurrency-safe event log.
+// Log is a concurrency-safe event log. Events are appended; a
+// streaming reader may remove them with Drain, after which the queries
+// cover only the events still buffered.
 type Log struct {
 	mu     sync.Mutex
+	base   int // events removed by Drain; Seq keeps counting past them
 	events []Event
 }
 
@@ -92,7 +96,7 @@ func New() *Log { return &Log{} }
 func (l *Log) Append(e Event) Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.Seq = len(l.events)
+	e.Seq = l.base + len(l.events)
 	e.At = time.Now()
 	l.events = append(l.events, e)
 	return e
@@ -103,6 +107,20 @@ func (l *Log) Events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Event(nil), l.events...)
+}
+
+// Drain removes and returns the buffered events, so a reader that
+// streams the log elsewhere keeps it bounded by what it has not yet
+// streamed. Seq keeps counting across drains. After a drain, Events,
+// Commits, CommitRules, Count and Len cover only the events appended
+// since.
+func (l *Log) Drain() []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.events
+	l.events = nil
+	l.base += len(out)
+	return out
 }
 
 // Commits returns the commit events in order — the execution string.

@@ -37,6 +37,30 @@ func TestLogAppendAndQueries(t *testing.T) {
 	}
 }
 
+// TestLogDrain checks that Drain empties the buffer while sequence
+// numbers keep counting across drains.
+func TestLogDrain(t *testing.T) {
+	l := New()
+	l.Append(Event{Kind: KindCommit, Rule: "a"})
+	l.Append(Event{Kind: KindCommit, Rule: "b"})
+	first := l.Drain()
+	if len(first) != 2 || first[0].Seq != 0 || first[1].Seq != 1 {
+		t.Fatalf("first drain = %v", first)
+	}
+	if l.Len() != 0 || len(l.Drain()) != 0 {
+		t.Fatal("drained log still buffers events")
+	}
+	if e := l.Append(Event{Kind: KindHalt, Rule: "b"}); e.Seq != 2 {
+		t.Fatalf("Seq after drain = %d, want 2", e.Seq)
+	}
+	if l.Len() != 1 || l.Count(KindCommit) != 0 || l.Count(KindHalt) != 1 {
+		t.Fatal("queries after a drain must cover only the buffered events")
+	}
+	if second := l.Drain(); len(second) != 1 || second[0].Seq != 2 {
+		t.Fatalf("second drain = %v", second)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{Seq: 3, Kind: KindAbort, Rule: "r", Detail: "deadlock"}
 	s := e.String()

@@ -197,7 +197,8 @@ type (
 
 // Trace event kinds.
 const (
-	// TraceFire records the start of a production's execution.
+	// TraceFire records the dispatch of a production's execution; only
+	// the parallel and static engines log it, serial ones commit at once.
 	TraceFire = trace.KindFire
 	// TraceCommit records a successful commit.
 	TraceCommit = trace.KindCommit
